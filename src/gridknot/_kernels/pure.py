@@ -71,9 +71,12 @@ def grid_canon_key(n: int, x, o) -> bytes:
     return best
 
 
-def _commute_rows_ok(n, x_inv, o_inv, r, s):
-    a1, b1 = x_inv[r], o_inv[r]
-    a2, b2 = x_inv[s], o_inv[s]
+def intervals_commute(a1, b1, a2, b2):
+    """Commutation test for two adjacent lines with marker intervals [a1, b1], [a2, b2].
+
+    The lines commute when their four endpoints are distinct and the
+    intervals are disjoint or strictly nested.
+    """
     if len({a1, b1, a2, b2}) != 4:
         return False
     lo1, hi1 = (a1, b1) if a1 < b1 else (b1, a1)
@@ -101,14 +104,13 @@ def grid_class_neighbors(n: int, key: bytes) -> list:
     out = set()
     for r in range(n):
         s = (r + 1) % n
-        if _commute_rows_ok(n, x_inv, o_inv, r, s):
+        if intervals_commute(x_inv[r], o_inv[r], x_inv[s], o_inv[s]):
             x2 = [s if v == r else r if v == s else v for v in x]
             o2 = [s if v == r else r if v == s else v for v in o]
             out.add(grid_canon_key(n, x2, o2))
     for c in range(n):
         d = (c + 1) % n
-        # same test with the roles of rows and columns exchanged
-        if _commute_rows_ok(n, x, o, c, d):
+        if intervals_commute(x[c], o[c], x[d], o[d]):
             x2 = list(x)
             o2 = list(o)
             x2[c], x2[d] = x2[d], x2[c]

@@ -17,7 +17,6 @@ back into the returned witness.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -213,6 +212,16 @@ def _bridge_conjugator(red_from: tuple[int, ...], k_from: int, red_to: tuple[int
     return _free_reduce(p_to + inverse_letters(p_from))
 
 
+def conjugacy_no_reason(w1: BraidWord, w2: BraidWord) -> str | None:
+    """The first conjugation invariant on which w1 and w2 differ, or None."""
+    inv1, inv2 = invariants(w1), invariants(w2)
+    if inv1.exponent_sum != inv2.exponent_sum:
+        return f"exponent_sum: {inv1.exponent_sum} vs {inv2.exponent_sum}"
+    if inv1.cycle_type != inv2.cycle_type:
+        return f"cycle_type: {inv1.cycle_type} vs {inv2.cycle_type}"
+    return None
+
+
 def conjugacy_oracle(
     w1: BraidWord,
     w2: BraidWord,
@@ -226,11 +235,9 @@ def conjugacy_oracle(
     """
     if w1.strands != w2.strands:
         raise StrandMismatch(f"{w1.strands} strands vs {w2.strands}")
-    inv1, inv2 = invariants(w1), invariants(w2)
-    if inv1.exponent_sum != inv2.exponent_sum:
-        return OracleResult(NO, reason=f"exponent_sum: {inv1.exponent_sum} vs {inv2.exponent_sum}")
-    if inv1.cycle_type != inv2.cycle_type:
-        return OracleResult(NO, reason=f"cycle_type: {inv1.cycle_type} vs {inv2.cycle_type}")
+    reason = conjugacy_no_reason(w1, w2)
+    if reason is not None:
+        return OracleResult(NO, reason=reason)
 
     n = w1.strands
     gens = [g for i in range(1, n) for g in (i, -i)]

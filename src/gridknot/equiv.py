@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from gridknot import convert
 from gridknot._kernels import grid_canon_key, grid_class_neighbors
-from gridknot.braid import invariants as braid_invariants
+from gridknot.braid import conjugacy_no_reason
 from gridknot.errors import GridKnotError, UnsupportedClass
 from gridknot.grid import GridDiagram, census
 from gridknot.moves import (
@@ -32,12 +32,12 @@ from gridknot.moves import (
     Destabilize,
     Move,
     MoveScript,
-    NoSuchBlock,
     Stabilize,
     Translate,
     apply,
     inverse_move,
     legal_moves,
+    tc_class_closure,
 )
 
 YES = "yes"
@@ -104,22 +104,6 @@ def tc_orbit_equal(g1: GridDiagram, g2: GridDiagram) -> bool:
             return False
 
 
-def tc_class_closure(g: GridDiagram) -> set[bytes]:
-    """All translation-class keys in the orbit of g."""
-    start = _canon(g)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for k in frontier:
-            for nb in grid_class_neighbors(g.n, k):
-                if nb not in seen:
-                    seen.add(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return seen
-
-
 def orbit_size(g: GridDiagram, move_class: str = "TC") -> int:
     """Exact number of grids in the translation+commutation orbit."""
     if move_class != "TC":
@@ -160,34 +144,26 @@ def _no_reason(g1: GridDiagram, g2: GridDiagram, move_class: str) -> str | None:
         w1, w2 = convert.grid_to_braid(g1), convert.grid_to_braid(g2)
         if w1.strands != w2.strands:
             return f"braid strands: {w1.strands} vs {w2.strands}"
-        b1, b2 = braid_invariants(w1), braid_invariants(w2)
-        if b1.exponent_sum != b2.exponent_sum:
-            return f"exponent_sum: {b1.exponent_sum} vs {b2.exponent_sum}"
-        if b1.cycle_type != b2.cycle_type:
-            return f"cycle_type: {b1.cycle_type} vs {b2.cycle_type}"
+        return conjugacy_no_reason(w1, w2)
     return None
 
 
 def _class_moves(g: GridDiagram, corners: tuple[str, ...], max_n: int) -> list[Move]:
-    """Destabilizations first: they shrink the state space."""
-    out: list[Move] = []
-    for corner in corners:
-        for r in range(g.n - 1):
-            for c in range(g.n - 1):
-                try:
-                    apply(g, Destabilize("X", corner, r, c))
-                except NoSuchBlock:
-                    continue
-                out.append(Destabilize("X", corner, r, c))
-    for d in ("U", "D", "L", "R"):
-        out.append(Translate(d))
-    for m in legal_moves(g):
-        if isinstance(m, (CommuteRows, CommuteCols)):
-            out.append(m)
+    """The class's subset of ``legal_moves(g)``.
+
+    Its X destabilizations come first, since they shrink the state
+    space; then translations and commutations; then its X
+    stabilizations, while g is below the grid-number cap.
+    """
+    legal = legal_moves(g)
+
+    def x_move(m: Move, move_type: type) -> bool:
+        return isinstance(m, move_type) and m.kind == "X" and m.corner in corners
+
+    out = [m for m in legal if x_move(m, Destabilize)]
+    out += [m for m in legal if isinstance(m, (Translate, CommuteRows, CommuteCols))]
     if g.n < max_n:
-        for corner in corners:
-            for c in range(g.n):
-                out.append(Stabilize("X", corner, c))
+        out += [m for m in legal if x_move(m, Stabilize)]
     return out
 
 
@@ -233,10 +209,7 @@ def equivalent(
             g = grids[side][key]
             path = paths[side][key]
             for m in _class_moves(g, corners, max_n):
-                try:
-                    h = apply(g, m)
-                except Exception:
-                    continue
+                h = apply(g, m)
                 hkey = h.key()
                 if hkey in paths[side]:
                     continue

@@ -11,7 +11,7 @@ crossing over horizontal ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from gridknot.errors import BadLength, GridSyntaxError, NotPermutation, SharedSquare
 

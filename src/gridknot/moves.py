@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from gridknot._kernels import grid_canon_key, grid_class_neighbors
+from gridknot._kernels.pure import intervals_commute
 from gridknot.errors import (
     GridKnotError,
     GridSyntaxError,
@@ -80,22 +81,11 @@ def _translate(g: GridDiagram, direction: str) -> GridDiagram:
     raise GridKnotError(f"unknown translation direction {direction!r}")
 
 
-def _intervals_commute(a1: int, b1: int, a2: int, b2: int) -> bool:
-    """Disjoint-or-strictly-nested test for two marker intervals."""
-    if len({a1, b1, a2, b2}) != 4:
-        return False
-    lo1, hi1 = min(a1, b1), max(a1, b1)
-    lo2, hi2 = min(a2, b2), max(a2, b2)
-    if hi1 < lo2 or hi2 < lo1:
-        return True
-    return (lo1 < lo2 and hi2 < hi1) or (lo2 < lo1 and hi1 < hi2)
-
-
 def _commute_rows(g: GridDiagram, r: int) -> GridDiagram:
     if not 0 <= r <= g.n - 2:
         raise IndexOutOfRange(f"row pair ({r}, {r + 1}) out of range for n={g.n}")
     x_inv, o_inv = g.x_inverse(), g.o_inverse()
-    if not _intervals_commute(x_inv[r], o_inv[r], x_inv[r + 1], o_inv[r + 1]):
+    if not intervals_commute(x_inv[r], o_inv[r], x_inv[r + 1], o_inv[r + 1]):
         raise IllegalCommutation(f"rows {r}, {r + 1} interleave")
     swap = {r: r + 1, r + 1: r}
     return GridDiagram(
@@ -108,7 +98,7 @@ def _commute_rows(g: GridDiagram, r: int) -> GridDiagram:
 def _commute_cols(g: GridDiagram, c: int) -> GridDiagram:
     if not 0 <= c <= g.n - 2:
         raise IndexOutOfRange(f"column pair ({c}, {c + 1}) out of range for n={g.n}")
-    if not _intervals_commute(g.x[c], g.o[c], g.x[c + 1], g.o[c + 1]):
+    if not intervals_commute(g.x[c], g.o[c], g.x[c + 1], g.o[c + 1]):
         raise IllegalCommutation(f"columns {c}, {c + 1} interleave")
     x = list(g.x)
     o = list(g.o)
@@ -243,30 +233,55 @@ def inverse_move(g_before: GridDiagram, move: Move) -> Move:
     raise GridKnotError(f"unknown move {move!r}")
 
 
-def legal_moves(g: GridDiagram) -> list[Move]:
-    """All moves applicable to g, in a fixed deterministic order."""
+def _tc_moves(g: GridDiagram) -> list[Move]:
+    """Translations U, D, L, R, then the legal row and the legal column commutations."""
     out: list[Move] = [Translate(d) for d in DIRECTIONS]
     x_inv, o_inv = g.x_inverse(), g.o_inverse()
     for r in range(g.n - 1):
-        if _intervals_commute(x_inv[r], o_inv[r], x_inv[r + 1], o_inv[r + 1]):
+        if intervals_commute(x_inv[r], o_inv[r], x_inv[r + 1], o_inv[r + 1]):
             out.append(CommuteRows(r))
     for c in range(g.n - 1):
-        if _intervals_commute(g.x[c], g.o[c], g.x[c + 1], g.o[c + 1]):
+        if intervals_commute(g.x[c], g.o[c], g.x[c + 1], g.o[c + 1]):
             out.append(CommuteCols(c))
-    for kind in ("X", "O"):
-        for corner in CORNERS:
-            for c in range(g.n):
-                out.append(Stabilize(kind, corner, c))
-    for kind in ("X", "O"):
-        for corner in CORNERS:
-            for r in range(g.n - 1):
-                for c in range(g.n - 1):
-                    try:
-                        _destabilize(g, kind, corner, r, c)
-                    except (NoSuchBlock, IndexOutOfRange):
-                        continue
-                    out.append(Destabilize(kind, corner, r, c))
     return out
+
+
+def _destabilizations(g: GridDiagram, kind: str) -> list[Destabilize]:
+    """Every legal ``kind`` destabilization of g, by corner, then row.
+
+    Each row holds one ``kind`` marker, so at most one 2x2 block has its
+    lower edge on row r: the one whose diagonal holds the ``kind``
+    markers of rows r and r+1, when their columns are adjacent.  The
+    block is a site for the off-diagonal corner that is empty while the
+    corner opposite it holds a marker of the other kind.
+    """
+    other_kind = "O" if kind == "X" else "X"
+    inv = g.x_inverse() if kind == "X" else g.o_inverse()
+    out: list[Destabilize] = []
+    for r in range(g.n - 1):
+        if abs(inv[r] - inv[r + 1]) != 1:
+            continue
+        c = min(inv[r], inv[r + 1])
+        cells = _block_cells(r, c)
+        for corner in CORNERS:
+            anti = cells[OPPOSITE_CORNER[corner]]
+            if _cell_content(g, *cells[corner]) is None and _cell_content(g, *anti) == other_kind:
+                out.append(Destabilize(kind, corner, r, c))
+    return sorted(out, key=lambda m: CORNERS.index(m.corner))
+
+
+def legal_moves(g: GridDiagram) -> list[Move]:
+    """All moves applicable to g, in a fixed deterministic order.
+
+    The order is: translations U, D, L, R; the legal row commutations,
+    by row; the legal column commutations, by column; all 8n
+    stabilizations, by kind (X, O), corner (NW, NE, SW, SE) and column;
+    the legal destabilizations, by kind, corner, row and column.
+    ``equiv.equivalent`` expands its search states with subsets of this
+    list taken in this order, so its YES scripts depend on the order.
+    """
+    stabs = [Stabilize(kind, corner, c) for kind in ("X", "O") for corner in CORNERS for c in range(g.n)]
+    return _tc_moves(g) + stabs + _destabilizations(g, "X") + _destabilizations(g, "O")
 
 
 def symmetry(g: GridDiagram, s: str) -> GridDiagram:
@@ -404,8 +419,8 @@ def _parse_move(tok: list[str]) -> Move:
     raise ValueError(head)
 
 
-def _tc_class_closure(g: GridDiagram) -> set[bytes]:
-    """All translation-class keys reachable by translations and commutations."""
+def tc_class_closure(g: GridDiagram) -> set[bytes]:
+    """All translation-class keys in the translation+commutation orbit of g."""
     start = grid_canon_key(g.n, g.x, g.o)
     seen = {start}
     frontier = [start]
@@ -420,18 +435,6 @@ def _tc_class_closure(g: GridDiagram) -> set[bytes]:
     return seen
 
 
-def _tc_moves(g: GridDiagram) -> Iterator[Move]:
-    x_inv, o_inv = g.x_inverse(), g.o_inverse()
-    for d in DIRECTIONS:
-        yield Translate(d)
-    for r in range(g.n - 1):
-        if _intervals_commute(x_inv[r], o_inv[r], x_inv[r + 1], o_inv[r + 1]):
-            yield CommuteRows(r)
-    for c in range(g.n - 1):
-        if _intervals_commute(g.x[c], g.o[c], g.x[c + 1], g.o[c + 1]):
-            yield CommuteCols(c)
-
-
 def o_stab_script(g: GridDiagram, corner: str, col: int) -> MoveScript:
     """Express an O stabilization as translations, commutations, and one X move.
 
@@ -444,7 +447,7 @@ def o_stab_script(g: GridDiagram, corner: str, col: int) -> MoveScript:
     if not 0 <= col < g.n:
         raise IndexOutOfRange(f"column {col} out of range for n={g.n}")
     target = apply(g, Stabilize("O", corner, col))
-    target_classes = _tc_class_closure(target)
+    target_classes = tc_class_closure(target)
     paired = PAIRED_X_CORNER[corner]
 
     start_key = g.key()

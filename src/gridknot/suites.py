@@ -55,20 +55,6 @@ def random_braid_word(strands: int, length: int, rnd: random.Random) -> BraidWor
     return BraidWord(strands, tuple(rnd.choice(gens) for _ in range(length)) if gens else ())
 
 
-def run_suite(name: str, trials: int, seed: int) -> SuiteReport:
-    runners = {
-        "roundtrip": suite_roundtrip,
-        "table1": suite_table1,
-        "table2": suite_table2,
-        "bw": suite_bw,
-        "slcoherence": suite_slcoherence,
-        "markov": suite_markov,
-    }
-    if name not in runners:
-        raise KeyError(name)
-    return runners[name](trials, seed)
-
-
 def suite_roundtrip(trials: int, seed: int) -> SuiteReport:
     """Reading a grid built from a braid word returns the word verbatim."""
     rep = SuiteReport("roundtrip", trials, seed)
@@ -257,4 +243,12 @@ def suite_markov(trials: int, seed: int) -> SuiteReport:
     return rep
 
 
-SUITE_NAMES = ("table1", "table2", "roundtrip", "bw", "slcoherence", "markov")
+# suite name -> runner, in the order the command line lists them
+SUITES = {
+    "table1": suite_table1,
+    "table2": suite_table2,
+    "roundtrip": suite_roundtrip,
+    "bw": suite_bw,
+    "slcoherence": suite_slcoherence,
+    "markov": suite_markov,
+}

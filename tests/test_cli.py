@@ -114,6 +114,14 @@ class TestEquivCommand:
         )
         assert (code, out) == (0, "UNKNOWN\n")
 
+    def test_yes_script_text(self, capsys, tmp_path, u2_file):
+        # three class-L moves from u2: SX NE 0, TU, SX SW 1; the script
+        # found depends on the order in which moves are tried
+        other = tmp_path / "l3.grid"
+        other.write_text("4\nX: 0 3 2 1\nO: 2 1 3 0\n")
+        code, out, _ = run(capsys, "equiv", u2_file, str(other), "--class", "L")
+        assert (code, out) == (0, "YES\nTU\nSX NE 1\nSX SW 1\n")
+
 
 class TestVerifyCommand:
     def test_suite_passes(self, capsys):
@@ -131,7 +139,9 @@ class TestVerifyCommand:
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")
         assert code == 2
-        assert "unknown suite" in err
+        assert err == (
+            "error: unknown suite 'bogus'; choose from table1, table2, roundtrip, bw, slcoherence, markov\n"
+        )
 
     def test_deterministic_output(self, capsys):
         argv = ("verify", "--suite", "slcoherence", "--trials", "25", "--seed", "11")

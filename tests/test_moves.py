@@ -111,16 +111,34 @@ class TestLegalMoves:
         g = apply(u2, Stabilize("X", "NE", 0))
         assert Destabilize("X", "NE", 1, 0) in legal_moves(g)
 
-    def test_exactly_the_applicable_moves(self, make_grid):
-        g = make_grid(5)
-        listed = set(map(repr, legal_moves(g)))
-        for m in legal_moves(g):
-            apply(g, m)  # must not raise
-        # spot-check some moves not listed do raise
-        for r in range(g.n - 1):
-            if repr(CommuteRows(r)) not in listed:
-                with pytest.raises(IllegalCommutation):
-                    apply(g, CommuteRows(r))
+    def test_exactly_the_applicable_moves(self, make_grid, rnd):
+        # reference: every candidate move, in legal_moves' order, that apply accepts
+        def applicable(g):
+            n = g.n
+            candidates = (
+                [Translate(d) for d in "UDLR"]
+                + [CommuteRows(r) for r in range(n - 1)]
+                + [CommuteCols(c) for c in range(n - 1)]
+                + [Stabilize(k, t, c) for k in "XO" for t in CORNERS for c in range(n)]
+                + [Destabilize(k, t, r, c) for k in "XO" for t in CORNERS for r in range(n - 1) for c in range(n - 1)]
+            )
+            out = []
+            for m in candidates:
+                try:
+                    apply(g, m)
+                except (IllegalCommutation, NoSuchBlock):
+                    continue
+                out.append(m)
+            return out
+
+        kinds_with_sites = set()
+        for _ in range(150):
+            g = make_grid(rnd.randint(2, 5))
+            for _ in range(rnd.randint(0, 2)):
+                g = apply(g, Stabilize(rnd.choice("XO"), rnd.choice(CORNERS), rnd.randrange(g.n)))
+            assert legal_moves(g) == applicable(g)
+            kinds_with_sites |= {m.kind for m in legal_moves(g) if isinstance(m, Destabilize)}
+        assert kinds_with_sites == {"X", "O"}
 
 
 class TestSymmetry:
