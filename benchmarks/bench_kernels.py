@@ -119,7 +119,7 @@ def main() -> int:
             f"{t_pure / t_fast:7.1f}x"
         )
     if fast is None:
-        print("\ncompiled kernels unavailable; install with the C extension to compare")
+        print("\ncompiled kernels unavailable; build them with `python setup.py build_ext --inplace` to compare")
     return 0
 
 

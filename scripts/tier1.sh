@@ -1,0 +1,23 @@
+#!/usr/bin/env bash
+# Tier-1 tests on both kernel backends.
+#
+#   scripts/tier1.sh [pytest args...]
+#
+# Builds the compiled kernels in place and fails unless they load, then
+# runs the tier-1 suite twice: on the compiled backend, and with
+# GRIDKNOT_PURE=1 on the pure-Python fallback.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+
+python setup.py -q build_ext --inplace
+backend=$(python -c 'import gridknot; print(gridknot.KERNEL_BACKEND)')
+if [ "$backend" != fast ]; then
+    echo "tier1: the compiled kernels did not load (backend: $backend)" >&2
+    exit 1
+fi
+
+echo "== tier-1, backend fast"
+python -m pytest -q --continue-on-collection-errors "$@"
+echo "== tier-1, backend pure (GRIDKNOT_PURE=1)"
+GRIDKNOT_PURE=1 python -m pytest -q --continue-on-collection-errors "$@"

@@ -19,20 +19,13 @@ class OptionalBuildExt(build_ext):
             print(f"warning: failed to build {ext.name} ({exc}); using pure-Python fallback")
 
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "gridknot._kernels._fast",
-                ["src/gridknot/_kernels/_fast.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    ext_modules = []
-
-setup(ext_modules=ext_modules, cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[
+        Extension(
+            "gridknot._kernels._fast",
+            ["src/gridknot/_kernels/_fast.c"],
+            extra_compile_args=["-O2"],
+        )
+    ],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

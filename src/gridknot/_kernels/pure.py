@@ -1,6 +1,6 @@
 """Pure-Python reference implementations of the hot kernels.
 
-The compiled module in ``_fast.pyx`` mirrors these functions exactly;
+The compiled module in ``_fast.c`` mirrors these functions exactly;
 either backend may be selected at import time (see ``__init__``).
 
 Kernels:
@@ -60,6 +60,8 @@ def _first_handle(w):
 
 def grid_canon_key(n: int, x, o) -> bytes:
     """Minimal serialization of (x, o) over all torus translations."""
+    if n > 256:
+        raise ValueError("class keys hold one byte per marker, so n must be at most 256")
     best = None
     for dr in range(n):
         for dc in range(n):
@@ -93,6 +95,8 @@ def grid_class_neighbors(n: int, key: bytes) -> list:
     equals translate-commute-translate, and the legality test only
     involves column intervals, which translations preserve.
     """
+    if n > 256:
+        raise ValueError("class keys hold one byte per marker, so n must be at most 256")
     x = list(key[:n])
     o = list(key[n:])
     x_inv = [0] * n

@@ -104,23 +104,30 @@ def tc_orbit_equal(g1: GridDiagram, g2: GridDiagram) -> bool:
             return False
 
 
+def _stabilizer_order(n: int, key: bytes) -> int:
+    """Number of torus translations that fix the grid with class key ``key``.
+
+    A column shift dc can fix x only with the row shift that carries
+    x[dc] back to x[0], so each dc is tested once.
+    """
+    order = 0
+    for dc in range(n):
+        dr = key[0] - key[dc]
+        rotated = key[dc:n] + key[:dc] + key[n + dc :] + key[n : n + dc]
+        order += bytes((v + dr) % n for v in rotated) == key
+    return order
+
+
 def orbit_size(g: GridDiagram, move_class: str = "TC") -> int:
-    """Exact number of grids in the translation+commutation orbit."""
+    """Exact number of grids in the translation+commutation orbit.
+
+    Each translation class of n x n grids holds n^2 / |stabilizer| grids
+    (orbit-stabilizer), summed over the classes of the TC orbit.
+    """
     if move_class != "TC":
         raise UnsupportedClass("orbit_size is defined for the TC class only")
     n = g.n
-    total = 0
-    for key in tc_class_closure(g):
-        x = key[:n]
-        o = key[n:]
-        translates = {
-            bytes((x[(c + dc) % n] + dr) % n for c in range(n))
-            + bytes((o[(c + dc) % n] + dr) % n for c in range(n))
-            for dr in range(n)
-            for dc in range(n)
-        }
-        total += len(translates)
-    return total
+    return sum(n * n // _stabilizer_order(n, key) for key in tc_class_closure(g))
 
 
 def _no_reason(g1: GridDiagram, g2: GridDiagram, move_class: str) -> str | None:

@@ -57,6 +57,29 @@ class TestOrbitSize:
         with pytest.raises(UnsupportedClass):
             orbit_size(u2, "K")
 
+    def test_matches_brute_force_translate_count(self, make_grid, rnd):
+        from gridknot.moves import tc_class_closure
+
+        def brute_force(g):
+            n = g.n
+            total = 0
+            for key in tc_class_closure(g):
+                x, o = key[:n], key[n:]
+                translates = {
+                    bytes((x[(c + dc) % n] + dr) % n for c in range(n))
+                    + bytes((o[(c + dc) % n] + dr) % n for c in range(n))
+                    for dr in range(n)
+                    for dc in range(n)
+                }
+                total += len(translates)
+            return total
+
+        # shift grids x[c] = c + k, o[c] = c are fixed by n translations
+        grids = [validate(n, [(c + k) % n for c in range(n)], list(range(n))) for n in range(2, 7) for k in range(1, n)]
+        grids += [make_grid(rnd.randint(2, 5)) for _ in range(40)]
+        for g in grids:
+            assert orbit_size(g) == brute_force(g)
+
 
 class TestEquivalent:
     def test_legendrian_detects_stabilization(self, u2):
