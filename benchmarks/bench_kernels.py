@@ -8,6 +8,10 @@ translation-class expansion) plus one end-to-end consumer of each
 (word-problem queries and orbit closures).  Both implementations are
 imported directly, so the result does not depend on which backend the
 package selected at import.
+
+Then times the search loop of ``equiv.equivalent``, which calls no
+kernel: ``legal_moves`` per call at n=10, and the states per second of
+a K-class search (unknot vs trefoil) run to a fixed state budget.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import random
 import time
 
+from gridknot import braid, convert, equiv, moves
 from gridknot._kernels import pure
 from gridknot.suites import random_braid_word, random_grid
 
@@ -99,6 +104,31 @@ def bench_closure(repeat: int):
     )
 
 
+SEARCH_STATES = 20000
+
+
+def bench_search_loop(repeat: int) -> list[tuple[str, str]]:
+    """(name, figure) rows for the search loop of ``equivalent``."""
+    rnd = random.Random(5)
+    grids = [random_grid(10, rnd) for _ in range(50)]
+    per_call = timed(moves.legal_moves, [(g,) for g in grids], repeat) / len(grids)
+
+    unknot = convert.braid_to_grid(braid.word([1]))
+    trefoil = convert.braid_to_grid(braid.word([1, 1, 1]))
+    budget = equiv.SearchBudget(max_states=SEARCH_STATES, max_seconds=3600.0)
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        res = equiv.equivalent(unknot, trefoil, "K", budget)
+        best = min(best, time.perf_counter() - t0)
+    if res.reason != "state budget exhausted":
+        raise SystemExit(f"search loop: expected the state budget to end the search, got {res.reason!r}")
+    return [
+        ("legal_moves per call (50 grids, n=10)", f"{per_call * 1e6:8.1f}us"),
+        (f"equivalent K unknot vs trefoil ({SEARCH_STATES} states)", f"{SEARCH_STATES / best:8.0f} states/s"),
+    ]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3, help="take the best of N runs")
@@ -118,6 +148,9 @@ def main() -> int:
             f"{name:<{width}} {t_pure * 1000:8.1f}ms {t_fast * 1000:7.1f}ms "
             f"{t_pure / t_fast:7.1f}x"
         )
+    print(f"\n{'search loop (no kernel runs)':<{width}} {'best of ' + str(args.repeat):>9}")
+    for name, figure in bench_search_loop(args.repeat):
+        print(f"{name:<{width}} {figure}")
     if fast is None:
         print("\ncompiled kernels unavailable; build them with `python setup.py build_ext --inplace` to compare")
     return 0

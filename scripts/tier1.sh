@@ -5,7 +5,9 @@
 #
 # Builds the compiled kernels in place and fails unless they load, then
 # runs the tier-1 suite twice: on the compiled backend, and with
-# GRIDKNOT_PURE=1 on the pure-Python fallback.
+# GRIDKNOT_PURE=1 on the pure-Python fallback.  Last it runs the tests of
+# the benchmark's corpus generator and checker once, since they drive
+# moves.apply and Stabilize.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -21,3 +23,5 @@ echo "== tier-1, backend fast"
 python -m pytest -q --continue-on-collection-errors "$@"
 echo "== tier-1, backend pure (GRIDKNOT_PURE=1)"
 GRIDKNOT_PURE=1 python -m pytest -q --continue-on-collection-errors "$@"
+echo "== benchmark corpus and checker tests (gridbench)"
+python -m pytest -q gridbench

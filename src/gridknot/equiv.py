@@ -25,7 +25,7 @@ from gridknot import convert
 from gridknot._kernels import grid_canon_key, grid_class_neighbors
 from gridknot.braid import conjugacy_no_reason
 from gridknot.errors import GridKnotError, UnsupportedClass
-from gridknot.grid import GridDiagram, census
+from gridknot.grid import GridDiagram, census, from_key
 from gridknot.moves import (
     CommuteCols,
     CommuteRows,
@@ -37,6 +37,7 @@ from gridknot.moves import (
     apply,
     inverse_move,
     legal_moves,
+    move_markers,
     tc_class_closure,
 )
 
@@ -155,6 +156,9 @@ def _no_reason(g1: GridDiagram, g2: GridDiagram, move_class: str) -> str | None:
     return None
 
 
+_TC_MOVE_TYPES = (Translate, CommuteRows, CommuteCols)
+
+
 def _class_moves(g: GridDiagram, corners: tuple[str, ...], max_n: int) -> list[Move]:
     """The class's subset of ``legal_moves(g)``.
 
@@ -163,14 +167,10 @@ def _class_moves(g: GridDiagram, corners: tuple[str, ...], max_n: int) -> list[M
     stabilizations, while g is below the grid-number cap.
     """
     legal = legal_moves(g)
-
-    def x_move(m: Move, move_type: type) -> bool:
-        return isinstance(m, move_type) and m.kind == "X" and m.corner in corners
-
-    out = [m for m in legal if x_move(m, Destabilize)]
-    out += [m for m in legal if isinstance(m, (Translate, CommuteRows, CommuteCols))]
+    out = [m for m in legal if type(m) is Destabilize and m.kind == "X" and m.corner in corners]
+    out += [m for m in legal if type(m) in _TC_MOVE_TYPES]
     if g.n < max_n:
-        out += [m for m in legal if x_move(m, Stabilize)]
+        out += [m for m in legal if type(m) is Stabilize and m.kind == "X" and m.corner in corners]
     return out
 
 
@@ -185,7 +185,10 @@ def equivalent(
     Yes scripts replay from g1 to exactly g2.  No answers cite an
     invariant value pair recomputable by the caller.  The search is
     breadth-first from both endpoints with destabilize-first move
-    ordering and serialized-state deduplication.
+    ordering and serialized-state deduplication: a state is its key,
+    ``GridDiagram.key()``.  Successors are keyed straight from the marker
+    arrays of ``move_markers``, and a grid is rebuilt and validated with
+    ``from_key`` only for the states the search expands.
     """
     if move_class not in MOVE_CLASSES:
         raise UnsupportedClass(f"unknown move class {move_class!r}")
@@ -201,7 +204,6 @@ def equivalent(
     deadline = time.monotonic() + budget.max_seconds
 
     paths: tuple[dict, dict] = ({g1.key(): ()}, {g2.key(): ()})
-    grids = ({g1.key(): g1}, {g2.key(): g2})
     frontiers: list[list[bytes]] = [[g1.key()], [g2.key()]]
 
     while frontiers[0] or frontiers[1]:
@@ -213,17 +215,16 @@ def equivalent(
             side = 0 if len(paths[0]) <= len(paths[1]) else 1
         nxt: list[bytes] = []
         for key in frontiers[side]:
-            g = grids[side][key]
+            g = from_key(key)
             path = paths[side][key]
             for m in _class_moves(g, corners, max_n):
-                h = apply(g, m)
-                hkey = h.key()
+                _, x, o = move_markers(g, m)
+                hkey = bytes(x) + bytes(o)
                 if hkey in paths[side]:
                     continue
                 paths[side][hkey] = path + (m,)
-                grids[side][hkey] = h
                 if hkey in paths[1 - side]:
-                    return _assemble(g1, g2, paths, grids, hkey, side)
+                    return _assemble(g1, g2, paths, hkey)
                 if len(paths[0]) + len(paths[1]) >= budget.max_states:
                     return EquivResult(UNKNOWN, reason="state budget exhausted")
                 if time.monotonic() > deadline:
@@ -235,7 +236,7 @@ def equivalent(
     return EquivResult(UNKNOWN, reason="move graph exhausted at the grid-number cap")
 
 
-def _assemble(g1, g2, paths, grids, meet_key, side) -> EquivResult:
+def _assemble(g1, g2, paths, meet_key) -> EquivResult:
     fwd = paths[0][meet_key]
     bwd = paths[1][meet_key]
     moves = list(fwd)

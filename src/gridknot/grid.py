@@ -39,7 +39,7 @@ class GridDiagram:
         return tuple(inv)
 
     def key(self) -> bytes:
-        """Compact serialization used for search-state deduplication."""
+        """Compact serialization used for search-state deduplication; ``from_key`` inverts it."""
         return bytes(self.x) + bytes(self.o)
 
 
@@ -81,6 +81,16 @@ def validate(n: int, x: Sequence[int], o: Sequence[int]) -> GridDiagram:
         if x[c] == o[c]:
             raise SharedSquare(f"column {c} has X and O in the same row {x[c]}")
     return GridDiagram(n, x, o)
+
+
+def from_key(key: bytes) -> GridDiagram:
+    """The validated grid whose ``key()`` is ``key``.
+
+    Raises BadLength, NotPermutation, or SharedSquare, as ``validate``
+    does, when ``key`` is not the key of a grid.
+    """
+    n = len(key) // 2
+    return validate(n, key[:n], key[n:])
 
 
 def census(g: GridDiagram) -> GridCensus:

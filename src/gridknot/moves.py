@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Union
+from functools import cache
+from typing import Iterator, Sequence, Union
 
 from gridknot._kernels import grid_canon_key, grid_class_neighbors
 from gridknot._kernels.pure import intervals_commute
@@ -24,6 +25,7 @@ from gridknot.errors import (
     IllegalCommutation,
     IndexOutOfRange,
     NoSuchBlock,
+    NotPermutation,
 )
 from gridknot.grid import GridDiagram, validate
 
@@ -68,34 +70,34 @@ class Destabilize:
 Move = Union[Translate, CommuteRows, CommuteCols, Stabilize, Destabilize]
 
 
-def _translate(g: GridDiagram, direction: str) -> GridDiagram:
-    n = g.n
+# A move's result as raw marker arrays (n, x, o); ``apply`` validates it.
+Markers = tuple[int, Sequence[int], Sequence[int]]
+
+
+def _translate(g: GridDiagram, direction: str) -> Markers:
+    n, x, o = g.n, g.x, g.o
     if direction == "U":
-        return GridDiagram(n, tuple((r + 1) % n for r in g.x), tuple((r + 1) % n for r in g.o))
+        return n, [(r + 1) % n for r in x], [(r + 1) % n for r in o]
     if direction == "D":
-        return GridDiagram(n, tuple((r - 1) % n for r in g.x), tuple((r - 1) % n for r in g.o))
+        return n, [(r - 1) % n for r in x], [(r - 1) % n for r in o]
     if direction == "L":
-        return GridDiagram(n, tuple(g.x[(c + 1) % n] for c in range(n)), tuple(g.o[(c + 1) % n] for c in range(n)))
+        return n, x[1:] + x[:1], o[1:] + o[:1]
     if direction == "R":
-        return GridDiagram(n, tuple(g.x[(c - 1) % n] for c in range(n)), tuple(g.o[(c - 1) % n] for c in range(n)))
+        return n, x[-1:] + x[:-1], o[-1:] + o[:-1]
     raise GridKnotError(f"unknown translation direction {direction!r}")
 
 
-def _commute_rows(g: GridDiagram, r: int) -> GridDiagram:
+def _commute_rows(g: GridDiagram, r: int) -> Markers:
     if not 0 <= r <= g.n - 2:
         raise IndexOutOfRange(f"row pair ({r}, {r + 1}) out of range for n={g.n}")
     x_inv, o_inv = g.x_inverse(), g.o_inverse()
     if not intervals_commute(x_inv[r], o_inv[r], x_inv[r + 1], o_inv[r + 1]):
         raise IllegalCommutation(f"rows {r}, {r + 1} interleave")
-    swap = {r: r + 1, r + 1: r}
-    return GridDiagram(
-        g.n,
-        tuple(swap.get(v, v) for v in g.x),
-        tuple(swap.get(v, v) for v in g.o),
-    )
+    # swap the row values r and r+1
+    return g.n, [v + (v == r) - (v == r + 1) for v in g.x], [v + (v == r) - (v == r + 1) for v in g.o]
 
 
-def _commute_cols(g: GridDiagram, c: int) -> GridDiagram:
+def _commute_cols(g: GridDiagram, c: int) -> Markers:
     if not 0 <= c <= g.n - 2:
         raise IndexOutOfRange(f"column pair ({c}, {c + 1}) out of range for n={g.n}")
     if not intervals_commute(g.x[c], g.o[c], g.x[c + 1], g.o[c + 1]):
@@ -104,51 +106,46 @@ def _commute_cols(g: GridDiagram, c: int) -> GridDiagram:
     o = list(g.o)
     x[c], x[c + 1] = x[c + 1], x[c]
     o[c], o[c + 1] = o[c + 1], o[c]
-    return GridDiagram(g.n, tuple(x), tuple(o))
+    return g.n, x, o
 
 
 def _block_cells(r: int, c: int) -> dict[str, tuple[int, int]]:
     return {"NW": (r + 1, c), "NE": (r + 1, c + 1), "SW": (r, c), "SE": (r, c + 1)}
 
 
-def _stabilize(g: GridDiagram, kind: str, corner: str, col: int) -> GridDiagram:
+def _column_of(markers: Sequence[int], row: int) -> int:
+    """The column of the marker of ``markers`` in ``row``."""
+    try:
+        return markers.index(row)
+    except ValueError:
+        raise NotPermutation(f"no marker in row {row} of {list(markers)}") from None
+
+
+def _stabilize(g: GridDiagram, kind: str, corner: str, col: int) -> Markers:
     if corner not in CORNERS:
         raise GridKnotError(f"unknown corner {corner!r}")
     if not 0 <= col < g.n:
         raise IndexOutOfRange(f"column {col} out of range for n={g.n}")
-    n = g.n
     c = col
-    r = g.x[c] if kind == "X" else g.o[c]
-    row_partner_col = g.o_inverse()[r] if kind == "X" else g.x_inverse()[r]
-    col_partner_row = g.o[c] if kind == "X" else g.x[c]
-
-    def nr(rr: int) -> int:
-        return rr if rr <= r else rr + 1
-
-    def nc(cc: int) -> int:
-        return cc if cc <= c else cc + 1
-
-    new_x: list[int | None] = [None] * (n + 1)
-    new_o: list[int | None] = [None] * (n + 1)
-    chosen_new, other_new = (new_x, new_o) if kind == "X" else (new_o, new_x)
     chosen_old, other_old = (g.x, g.o) if kind == "X" else (g.o, g.x)
+    r = chosen_old[c]
+    row_partner_col = _column_of(other_old, r)
+    # open row r+1 and column c+1: the rows above r move up by one
+    chosen = [v + (v > r) for v in chosen_old]
+    other = [v + (v > r) for v in other_old]
+    col_partner_row = other[c]
+    chosen.insert(c + 1, r)
+    other.insert(c + 1, r)
 
-    for cc in range(n):
-        if cc != c:
-            chosen_new[nc(cc)] = nr(chosen_old[cc])
-        if cc != c and cc != row_partner_col:
-            other_new[nc(cc)] = nr(other_old[cc])
-
-    cells = _block_cells(r, c)
-    anti_r, anti_c = cells[OPPOSITE_CORNER[corner]]
-    for t in CORNERS:
-        if t != corner and t != OPPOSITE_CORNER[corner]:
-            br, bc = cells[t]
-            chosen_new[bc] = br
-    other_new[anti_c] = anti_r
-    other_new[nc(row_partner_col)] = r + 1 if anti_r == r else r
-    other_new[c + 1 if anti_c == c else c] = nr(col_partner_row)
-    return validate(n + 1, new_x, new_o)  # type: ignore[arg-type]
+    north, west = corner[0] == "N", corner[1] == "W"
+    # the split kind goes on the block diagonal that avoids the empty corner
+    chosen[c], chosen[c + 1] = (r, r + 1) if north == west else (r + 1, r)
+    anti_r, anti_c = (r if north else r + 1), (c + 1 if west else c)
+    other[anti_c] = anti_r
+    # the partners of the split marker take the free block column and row
+    other[2 * c + 1 - anti_c] = col_partner_row
+    other[row_partner_col + (row_partner_col > c)] = 2 * r + 1 - anti_r
+    return (g.n + 1, chosen, other) if kind == "X" else (g.n + 1, other, chosen)
 
 
 def _cell_content(g: GridDiagram, rr: int, cc: int) -> str | None:
@@ -159,7 +156,7 @@ def _cell_content(g: GridDiagram, rr: int, cc: int) -> str | None:
     return None
 
 
-def _destabilize(g: GridDiagram, kind: str, corner: str, row: int, col: int) -> GridDiagram:
+def _destabilize(g: GridDiagram, kind: str, corner: str, row: int, col: int) -> Markers:
     if corner not in CORNERS:
         raise GridKnotError(f"unknown corner {corner!r}")
     n = g.n
@@ -174,37 +171,26 @@ def _destabilize(g: GridDiagram, kind: str, corner: str, row: int, col: int) -> 
         if _cell_content(g, *cells[t]) != want:
             raise NoSuchBlock(f"no {kind}:{corner} block with lower-left cell ({r}, {c})")
 
-    other_arr = g.o if kind == "X" else g.x
-    other_inv = g.o_inverse() if kind == "X" else g.x_inverse()
-    anti_r, anti_c = cells[anti]
-    row_partner_row = r + 1 if anti_r == r else r
-    row_partner_col = other_inv[row_partner_row]
-    col_partner_col = c + 1 if anti_c == c else c
-    col_partner_row = other_arr[col_partner_col]
-
-    def mr(rr: int) -> int:
-        return rr if rr < r else rr - 1
-
-    def mc(cc: int) -> int:
-        return cc if cc < c else cc - 1
-
-    new_x: list[int | None] = [None] * (n - 1)
-    new_o: list[int | None] = [None] * (n - 1)
-    chosen_new, other_new = (new_x, new_o) if kind == "X" else (new_o, new_x)
     chosen_old, other_old = (g.x, g.o) if kind == "X" else (g.o, g.x)
-    for cc in range(n):
-        if cc not in (c, c + 1):
-            chosen_new[mc(cc)] = mr(chosen_old[cc])
-        if cc not in (c, c + 1, row_partner_col):
-            other_new[mc(cc)] = mr(other_old[cc])
-    chosen_new[c] = r
-    other_new[mc(row_partner_col)] = r
-    other_new[c] = mr(col_partner_row)
-    return validate(n - 1, new_x, new_o)  # type: ignore[arg-type]
+    anti_r, anti_c = cells[anti]
+    row_partner_col = _column_of(other_old, 2 * r + 1 - anti_r)
+    # close row r+1 and column c+1: outside the block no marker sits in
+    # rows r or r+1 but the row partner, which moves to row r
+    chosen = [v - (v > r) for v in chosen_old]
+    other = [v - (v > r) for v in other_old]
+    chosen[c] = r
+    other[row_partner_col] = r
+    other[c] = other[2 * c + 1 - anti_c]  # the column partner
+    del chosen[c + 1], other[c + 1]
+    return (n - 1, chosen, other) if kind == "X" else (n - 1, other, chosen)
 
 
-def apply(g: GridDiagram, move: Move) -> GridDiagram:
-    """Apply a single move, raising if it is not legal on g."""
+def move_markers(g: GridDiagram, move: Move) -> Markers:
+    """The raw marker arrays (n, x, o) that ``move`` gives on g, unvalidated.
+
+    Raises if the move is not legal on g.  ``apply`` validates the
+    result; ``equiv.equivalent`` keys its search states straight from it.
+    """
     if isinstance(move, Translate):
         return _translate(g, move.direction)
     if isinstance(move, CommuteRows):
@@ -216,6 +202,15 @@ def apply(g: GridDiagram, move: Move) -> GridDiagram:
     if isinstance(move, Destabilize):
         return _destabilize(g, move.kind, move.corner, move.row, move.col)
     raise GridKnotError(f"unknown move {move!r}")
+
+
+def apply(g: GridDiagram, move: Move) -> GridDiagram:
+    """Apply a single move, raising if it is not legal on g.
+
+    Every result is validated, so ``apply`` never returns a grid that
+    breaks the grid invariants, even from a g built without ``validate``.
+    """
+    return validate(*move_markers(g, move))
 
 
 def inverse_move(g_before: GridDiagram, move: Move) -> Move:
@@ -280,8 +275,13 @@ def legal_moves(g: GridDiagram) -> list[Move]:
     ``equiv.equivalent`` expands its search states with subsets of this
     list taken in this order, so its YES scripts depend on the order.
     """
-    stabs = [Stabilize(kind, corner, c) for kind in ("X", "O") for corner in CORNERS for c in range(g.n)]
-    return _tc_moves(g) + stabs + _destabilizations(g, "X") + _destabilizations(g, "O")
+    return [*_tc_moves(g), *_stabilizations(g.n), *_destabilizations(g, "X"), *_destabilizations(g, "O")]
+
+
+@cache
+def _stabilizations(n: int) -> tuple[Stabilize, ...]:
+    """The 8n stabilizations of an n x n grid, by kind, corner and column; all are legal."""
+    return tuple(Stabilize(kind, corner, c) for kind in ("X", "O") for corner in CORNERS for c in range(n))
 
 
 def symmetry(g: GridDiagram, s: str) -> GridDiagram:
@@ -461,8 +461,7 @@ def o_stab_script(g: GridDiagram, corner: str, col: int) -> MoveScript:
         if ck not in checked:
             checked.add(ck)
             for p in range(h.n):
-                cand = _stabilize(h, "X", paired, p)
-                if grid_canon_key(cand.n, cand.x, cand.o) in target_classes:
+                if grid_canon_key(*_stabilize(h, "X", paired, p)) in target_classes:
                     return MoveScript(paths[hkey] + (Stabilize("X", paired, p),))
         for m in _tc_moves(h):
             h2 = apply(h, m)

@@ -13,7 +13,7 @@ from gridknot.equiv import (
 )
 from gridknot.errors import UnsupportedClass
 from gridknot.grid import census, validate
-from gridknot.moves import Stabilize, Translate, apply
+from gridknot.moves import Stabilize, Translate, apply, serialize_script
 
 
 class TestTcOrbitEqual:
@@ -179,6 +179,37 @@ class TestEquivalent:
         w1, w2 = grid_to_braid(u2), grid_to_braid(g2)
         assert w1.strands == w2.strands
         assert conjugacy_oracle(w1, w2, max_depth=4).verdict == YES
+
+
+# (class, g1, g2, the YES script equivalent finds): g2 is a seeded walk of
+# 2-5 class moves from g1.  The scripts pin the search order: the order of
+# legal_moves, the class-move order and the breadth-first expansion.
+PINNED_WALKS = [
+    ("K", (0, 4, 1, 3, 2), (3, 2, 0, 4, 1), (8, 6, 7, 0, 3, 4, 5, 1, 2), (3, 7, 2, 8, 4, 5, 6, 0, 1),
+     "TD\nSX NW 4\nSX SE 1\nSX SE 4\nSX SE 4\n"),
+    ("K", (0, 2, 1, 3), (1, 0, 3, 2), (7, 3, 2, 1, 0, 5, 6, 4), (6, 0, 3, 2, 4, 1, 5, 7),
+     "TR\nSX NW 2\nSX NE 1\nSX SW 1\nSX SW 2\n"),
+    ("L", (1, 2, 4, 0, 3), (4, 0, 2, 3, 1), (1, 0, 3, 5, 2, 4), (5, 1, 2, 3, 4, 0), "CR 0\nSX SW 0\n"),
+    ("L", (0, 1, 2, 3, 4), (3, 2, 4, 1, 0), (2, 3, 4, 5, 1, 0), (5, 4, 0, 3, 2, 1), "TU\nSX SW 4\n"),
+    ("T", (0, 3, 4, 1, 2), (1, 2, 3, 4, 0), (1, 0, 6, 7, 3, 4, 2, 5), (0, 2, 5, 6, 4, 7, 3, 1),
+     "SX NE 0\nSX SW 4\nSX SE 4\n"),
+    ("T", (0, 3, 2, 4, 1), (4, 2, 1, 0, 3), (0, 4, 3, 5, 1, 6, 2), (6, 3, 5, 1, 2, 0, 4),
+     "SX SE 4\nCC 3\nSX SE 2\nCR 4\n"),
+    ("B", (4, 2, 0, 3, 1), (3, 0, 4, 1, 2), (1, 5, 4, 2, 0, 3), (2, 4, 3, 0, 5, 1), "TR\nSX NE 1\n"),
+    ("B", (3, 2, 1, 0), (2, 3, 0, 1), (3, 1, 2, 0, 4), (4, 2, 0, 1, 3), "TL\nSX SE 1\n"),
+    ("TC", (4, 1, 0, 3, 2), (1, 0, 3, 2, 4), (2, 0, 4, 1, 3), (0, 4, 1, 3, 2), "TL\nCR 1\nCR 3\n"),
+    ("TC", (0, 3, 1, 2), (1, 2, 3, 0), (1, 2, 3, 0), (3, 1, 0, 2), "TU\nTL\nCR 0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, x1, o1, x2, o2, script", PINNED_WALKS, ids=[f"{w[0]}-{i % 2}" for i, w in enumerate(PINNED_WALKS)]
+)
+def test_pinned_yes_scripts(cls, x1, o1, x2, o2, script):
+    g1, g2 = validate(len(x1), x1, o1), validate(len(x2), x2, o2)
+    res = equivalent(g1, g2, cls, SearchBudget(max_states=20000))
+    assert res.verdict == YES
+    assert serialize_script(res.script) == script
 
 
 def _is_o_move(m):

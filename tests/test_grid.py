@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gridknot.errors import GridSyntaxError, NotPermutation, SharedSquare
-from gridknot.grid import census, parse, render_ascii, serialize, validate
+from gridknot.errors import BadLength, GridSyntaxError, NotPermutation, SharedSquare
+from gridknot.grid import census, from_key, parse, render_ascii, serialize, validate
 
 
 def permutation_pairs(max_n=8):
@@ -39,6 +39,33 @@ class TestValidate:
     def test_inverses(self, g5):
         assert g5.x_inverse() == (4, 0, 1, 2, 3)
         assert g5.o_inverse() == (1, 2, 3, 4, 0)
+
+
+class TestFromKey:
+    def test_inverts_key(self, make_grid):
+        for n in range(2, 10):
+            for _ in range(5):
+                g = make_grid(n)
+                h = from_key(g.key())
+                assert h == g
+                assert isinstance(h.x, tuple) and isinstance(h.o, tuple)
+
+    @pytest.mark.parametrize(
+        "key, n, x, o, error",
+        [
+            (b"", 0, [], [], BadLength),
+            (bytes([1, 0, 0]), 1, [1], [0, 0], BadLength),
+            (bytes([0, 0, 2, 1, 2, 0]), 3, [0, 0, 2], [1, 2, 0], NotPermutation),
+            (bytes([1, 0, 2, 0]), 2, [1, 0], [2, 0], NotPermutation),
+            (bytes([1, 0, 1, 0]), 2, [1, 0], [1, 0], SharedSquare),
+        ],
+    )
+    def test_malformed_keys_raise_as_validate(self, key, n, x, o, error):
+        with pytest.raises(error) as from_key_error:
+            from_key(key)
+        with pytest.raises(error) as validate_error:
+            validate(n, x, o)
+        assert str(from_key_error.value) == str(validate_error.value)
 
 
 class TestCensus:

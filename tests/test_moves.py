@@ -1,8 +1,8 @@
 import pytest
 
 from gridknot.equiv import tc_orbit_equal
-from gridknot.errors import IllegalCommutation, NoSuchBlock
-from gridknot.grid import census, validate
+from gridknot.errors import GridKnotError, IllegalCommutation, NoSuchBlock, NotPermutation, SharedSquare
+from gridknot.grid import GridDiagram, census, validate
 from gridknot.moves import (
     CORNERS,
     SYMMETRIES,
@@ -21,6 +21,17 @@ from gridknot.moves import (
     stab_type_image,
     symmetry,
 )
+
+
+def candidate_moves(n):
+    """Every move of each kind with indices in range for n, in legal_moves' order."""
+    return (
+        [Translate(d) for d in "UDLR"]
+        + [CommuteRows(r) for r in range(n - 1)]
+        + [CommuteCols(c) for c in range(n - 1)]
+        + [Stabilize(k, t, c) for k in "XO" for t in CORNERS for c in range(n)]
+        + [Destabilize(k, t, r, c) for k in "XO" for t in CORNERS for r in range(n - 1) for c in range(n - 1)]
+    )
 
 
 class TestTranslation:
@@ -91,6 +102,23 @@ class TestStabilization:
         with pytest.raises(NoSuchBlock):
             apply(u2, Destabilize("X", "NE", 0, 0))
 
+    def test_apply_validates_every_result(self):
+        # built without validate: row 2 holds the X of two columns, row 0 none
+        bad = GridDiagram(5, (2, 1, 2, 3, 4), (3, 2, 4, 1, 0))
+        # each move passes its own legality check, so only validation can catch it
+        for m in (
+            Translate("U"),
+            CommuteRows(0),
+            CommuteCols(3),
+            Stabilize("X", "NW", 0),
+            Destabilize("X", "SW", 1, 0),
+        ):
+            with pytest.raises((NotPermutation, SharedSquare)):
+                apply(bad, m)
+        for m in candidate_moves(bad.n):
+            with pytest.raises(GridKnotError):
+                apply(bad, m)
+
     def test_components_preserved(self, make_grid, rnd):
         for _ in range(60):
             g = make_grid(rnd.randint(2, 6))
@@ -107,6 +135,11 @@ class TestLegalMoves:
         assert sum(isinstance(m, Stabilize) for m in ms) == 16
         assert not any(isinstance(m, Destabilize) for m in ms)
 
+    def test_each_call_returns_a_new_list(self, u2):
+        ms = legal_moves(u2)
+        ms.clear()
+        assert len(legal_moves(u2)) == 4 + 16
+
     def test_created_block_is_listed(self, u2):
         g = apply(u2, Stabilize("X", "NE", 0))
         assert Destabilize("X", "NE", 1, 0) in legal_moves(g)
@@ -114,16 +147,8 @@ class TestLegalMoves:
     def test_exactly_the_applicable_moves(self, make_grid, rnd):
         # reference: every candidate move, in legal_moves' order, that apply accepts
         def applicable(g):
-            n = g.n
-            candidates = (
-                [Translate(d) for d in "UDLR"]
-                + [CommuteRows(r) for r in range(n - 1)]
-                + [CommuteCols(c) for c in range(n - 1)]
-                + [Stabilize(k, t, c) for k in "XO" for t in CORNERS for c in range(n)]
-                + [Destabilize(k, t, r, c) for k in "XO" for t in CORNERS for r in range(n - 1) for c in range(n - 1)]
-            )
             out = []
-            for m in candidates:
+            for m in candidate_moves(g.n):
                 try:
                     apply(g, m)
                 except (IllegalCommutation, NoSuchBlock):
