@@ -10,8 +10,10 @@ imported directly, so the result does not depend on which backend the
 package selected at import.
 
 Then times the search loop of ``equiv.equivalent``, which calls no
-kernel: ``legal_moves`` per call at n=10, and the states per second of
-a K-class search (unknot vs trefoil) run to a fixed state budget.
+kernel: ``legal_moves`` and ``convert.determinant`` per call at n=10,
+and the states per second of a K-class search run to a fixed state
+budget.  That search pairs the figure-eight knot with 5_1: both have
+determinant 5, so no invariant of ``equivalent`` ends it early.
 """
 
 from __future__ import annotations
@@ -111,21 +113,24 @@ def bench_search_loop(repeat: int) -> list[tuple[str, str]]:
     """(name, figure) rows for the search loop of ``equivalent``."""
     rnd = random.Random(5)
     grids = [random_grid(10, rnd) for _ in range(50)]
-    per_call = timed(moves.legal_moves, [(g,) for g in grids], repeat) / len(grids)
+    payloads = [(g,) for g in grids]
+    per_call = timed(moves.legal_moves, payloads, repeat) / len(grids)
+    det_per_call = timed(convert.determinant, payloads, repeat) / len(grids)
 
-    unknot = convert.braid_to_grid(braid.word([1]))
-    trefoil = convert.braid_to_grid(braid.word([1, 1, 1]))
+    figure8 = convert.braid_to_grid(braid.word([1, -2, 1, -2]))
+    knot51 = convert.braid_to_grid(braid.word([1, 1, 1, 1, 1]))
     budget = equiv.SearchBudget(max_states=SEARCH_STATES, max_seconds=3600.0)
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
-        res = equiv.equivalent(unknot, trefoil, "K", budget)
+        res = equiv.equivalent(figure8, knot51, "K", budget)
         best = min(best, time.perf_counter() - t0)
     if res.reason != "state budget exhausted":
         raise SystemExit(f"search loop: expected the state budget to end the search, got {res.reason!r}")
     return [
         ("legal_moves per call (50 grids, n=10)", f"{per_call * 1e6:8.1f}us"),
-        (f"equivalent K unknot vs trefoil ({SEARCH_STATES} states)", f"{SEARCH_STATES / best:8.0f} states/s"),
+        ("determinant per call (50 grids, n=10)", f"{det_per_call * 1e6:8.1f}us"),
+        (f"equivalent K figure-8 vs 5_1 ({SEARCH_STATES} states)", f"{SEARCH_STATES / best:8.0f} states/s"),
     ]
 
 

@@ -9,6 +9,7 @@ produce identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -80,7 +81,9 @@ def _cmd_equiv(args) -> int:
     budget = equiv.SearchBudget(
         max_grid_number=args.max_grid,
         max_states=args.max_states,
-        max_seconds=args.max_seconds,
+        # states alone end the search unless a time budget is asked for,
+        # so the verdict does not depend on the machine's speed
+        max_seconds=math.inf if args.max_seconds is None else args.max_seconds,
     )
     res = equiv.equivalent(g1, g2, args.move_class, budget)
     if res.verdict == equiv.YES:
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--class", dest="move_class", required=True, choices=("K", "L", "T", "B", "TC"))
     q.add_argument("--max-grid", type=int, default=0, help="grid-number cap (default: input max + 2)")
     q.add_argument("--max-states", type=int, default=200000)
-    q.add_argument("--max-seconds", type=float, default=30.0)
+    q.add_argument("--max-seconds", type=float, default=None, help="time budget (default: none)")
     q.set_defaults(func=_cmd_equiv)
 
     q = sub.add_parser("verify", help="run a randomized verification suite")

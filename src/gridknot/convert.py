@@ -237,6 +237,49 @@ def classical_invariants(g: GridDiagram) -> ClassicalInvariants:
     return ClassicalInvariants(tb, rot, tb - rot)
 
 
+def determinant(g: GridDiagram) -> int:
+    """The link determinant |Δ(−1)|, from the grid's winding-number matrix.
+
+    Manolescu–Ozsváth–Sarkar: the n x n matrix M(i, j) = t^(−w(i, j)),
+    where w(i, j) is the winding number of the link around the lattice
+    point on column line i and row line j, has det M = ±t^a (1−t)^(n−1)
+    Δ(t).  At t = −1 an entry is the parity of w, read off the vertical
+    segments left of the point, so |Δ(−1)| = |det M| / 2^(n−1).  It is 0
+    on split links, and 1 on the unknot.
+    """
+    n = g.n
+    spans = [sorted((g.x[c], g.o[c])) for c in range(n)]
+    m = []
+    for j in range(n):
+        row, sign = [], 1
+        for lo, hi in spans:
+            row.append(sign)
+            if lo < j <= hi:  # the vertical segment of this column crosses row line j
+                sign = -sign
+        m.append(row)
+    return _abs_det(m) >> (n - 1)
+
+
+def _abs_det(m: list[list[int]]) -> int:
+    """|det m| of a square integer matrix by fraction-free (Bareiss) elimination; m is overwritten."""
+    n = len(m)
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot - a * pivot_row[j]) // prev
+        prev = pivot
+    return abs(m[-1][-1])
+
+
 def sl_from_braid(w: BraidWord) -> int:
     """Self-linking of the braid closure: exponent sum minus strand count."""
     return sum(1 if k > 0 else -1 for k in w.letters) - w.strands

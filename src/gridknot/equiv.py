@@ -132,12 +132,19 @@ def orbit_size(g: GridDiagram, move_class: str = "TC") -> int:
 
 
 def _no_reason(g1: GridDiagram, g2: GridDiagram, move_class: str) -> str | None:
-    """A class invariant separating g1 from g2, if one is found."""
+    """A class invariant separating g1 from g2, if one is found.
+
+    The checks run cheapest first, and the first that differs is cited:
+    the component count (every class); then the grid number (TC); tb,
+    then r (L); sl (T); the braid strand count, then the exponent sum and
+    cycle type of ``conjugacy_no_reason`` (B); last the link determinant
+    (K, L, T and B).  TC skips the determinant, since its search is exact.
+    """
     c1, c2 = census(g1).components, census(g2).components
     if c1 != c2:
         return f"components: {c1} vs {c2}"
-    if move_class == "TC" and g1.n != g2.n:
-        return f"grid number: {g1.n} vs {g2.n}"
+    if move_class == "TC":
+        return f"grid number: {g1.n} vs {g2.n}" if g1.n != g2.n else None
     if move_class == "L":
         i1, i2 = convert.classical_invariants(g1), convert.classical_invariants(g2)
         if i1.tb != i2.tb:
@@ -152,7 +159,12 @@ def _no_reason(g1: GridDiagram, g2: GridDiagram, move_class: str) -> str | None:
         w1, w2 = convert.grid_to_braid(g1), convert.grid_to_braid(g2)
         if w1.strands != w2.strands:
             return f"braid strands: {w1.strands} vs {w2.strands}"
-        return conjugacy_no_reason(w1, w2)
+        reason = conjugacy_no_reason(w1, w2)
+        if reason is not None:
+            return reason
+    d1, d2 = convert.determinant(g1), convert.determinant(g2)
+    if d1 != d2:
+        return f"determinant: {d1} vs {d2}"
     return None
 
 
@@ -183,7 +195,13 @@ def equivalent(
     """Decide equivalence under the chosen move class, within a budget.
 
     Yes scripts replay from g1 to exactly g2.  No answers cite an
-    invariant value pair recomputable by the caller.  The search is
+    invariant value pair recomputable by the caller, as ``name: a vs b``.
+    The invariants are checked before any search, cheapest first, and
+    the first that differs is cited: ``components`` (every class);
+    ``grid number`` (TC); ``tb``, then ``r`` (L); ``sl`` (T); ``braid
+    strands``, then ``exponent_sum`` and ``cycle_type`` (B); last
+    ``determinant`` (K, L, T and B).  A TC No may also come from an
+    orbit closure exhausted without a meet.  The search is
     breadth-first from both endpoints with destabilize-first move
     ordering and serialized-state deduplication: a state is its key,
     ``GridDiagram.key()``.  Successors are keyed straight from the marker

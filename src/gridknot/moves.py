@@ -188,20 +188,25 @@ def _destabilize(g: GridDiagram, kind: str, corner: str, row: int, col: int) -> 
 def move_markers(g: GridDiagram, move: Move) -> Markers:
     """The raw marker arrays (n, x, o) that ``move`` gives on g, unvalidated.
 
-    Raises if the move is not legal on g.  ``apply`` validates the
-    result; ``equiv.equivalent`` keys its search states straight from it.
+    Raises if the move is not legal on g, or if ``type(move)`` is not
+    one of the five move types.  ``apply`` validates the result;
+    ``equiv.equivalent`` keys its search states straight from it.
     """
-    if isinstance(move, Translate):
-        return _translate(g, move.direction)
-    if isinstance(move, CommuteRows):
-        return _commute_rows(g, move.row)
-    if isinstance(move, CommuteCols):
-        return _commute_cols(g, move.col)
-    if isinstance(move, Stabilize):
-        return _stabilize(g, move.kind, move.corner, move.col)
-    if isinstance(move, Destabilize):
-        return _destabilize(g, move.kind, move.corner, move.row, move.col)
-    raise GridKnotError(f"unknown move {move!r}")
+    markers = _MOVE_MARKERS.get(type(move))
+    if markers is None:
+        raise GridKnotError(f"unknown move {move!r}")
+    return markers(g, move)
+
+
+# One lookup on the exact move type: the search calls ``move_markers`` for
+# every edge, and most edges are stabilizations.
+_MOVE_MARKERS = {
+    Stabilize: lambda g, m: _stabilize(g, m.kind, m.corner, m.col),
+    Destabilize: lambda g, m: _destabilize(g, m.kind, m.corner, m.row, m.col),
+    Translate: lambda g, m: _translate(g, m.direction),
+    CommuteRows: lambda g, m: _commute_rows(g, m.row),
+    CommuteCols: lambda g, m: _commute_cols(g, m.col),
+}
 
 
 def apply(g: GridDiagram, move: Move) -> GridDiagram:

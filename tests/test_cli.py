@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from gridknot import equiv
 from gridknot.cli import main
 
 U2_TEXT = "2\nX: 1 0\nO: 0 1\n"
@@ -113,6 +116,18 @@ class TestEquivCommand:
             capsys, "equiv", u2_file, str(other), "--class", "K", "--max-states", "2", "--max-grid", "4"
         )
         assert (code, out) == (0, "UNKNOWN\n")
+
+    @pytest.mark.parametrize("flag, seconds", [((), math.inf), (("--max-seconds", "2.5"), 2.5)])
+    def test_time_budget_only_when_asked(self, capsys, monkeypatch, u2_file, flag, seconds):
+        budgets = []
+
+        def spy(g1, g2, move_class, budget):
+            budgets.append(budget)
+            return equiv.EquivResult(equiv.UNKNOWN)
+
+        monkeypatch.setattr(equiv, "equivalent", spy)
+        run(capsys, "equiv", u2_file, u2_file, "--class", "K", *flag)
+        assert [(b.max_states, b.max_seconds) for b in budgets] == [(200000, seconds)]
 
     def test_yes_script_text(self, capsys, tmp_path, u2_file):
         # three class-L moves from u2: SX NE 0, TU, SX SW 1; the script

@@ -5,6 +5,7 @@ from gridknot.convert import (
     RectilinearBraidDiagram,
     braid_to_grid,
     classical_invariants,
+    determinant,
     directional_braid,
     grid_to_braid,
     grid_to_front,
@@ -203,6 +204,26 @@ class TestClassicalInvariants:
         for _ in range(50):
             ci = classical_invariants(make_grid(rnd.randint(2, 6)))
             assert ci.sl == ci.tb - ci.r
+
+
+class TestDeterminant:
+    def test_u2_unknot(self, u2):
+        assert determinant(u2) == 1
+
+    @pytest.mark.parametrize(
+        "letters, strands, value",
+        [
+            ((1,), 2, 1),  # unknot
+            ((1, 1, 1), 2, 3),  # trefoil
+            ((1, -2, 1, -2), 3, 5),  # figure-eight
+            ((1, 1, 1, 1, 1), 2, 5),  # 5_1
+            ((1, 1), 2, 2),  # Hopf link
+            ((), 2, 0),  # two-component unlink
+            ((1, 1, 1, 1), 2, 4),  # T(2,4)
+        ],
+    )
+    def test_known_links(self, letters, strands, value):
+        assert determinant(braid_to_grid(BraidWord(strands, letters))) == value
 
 
 class TestSlFromBraid:

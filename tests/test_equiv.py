@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from gridknot.braid import invariants
-from gridknot.convert import classical_invariants, grid_to_braid
+from gridknot.braid import conjugacy_no_reason, invariants, word
+from gridknot.convert import braid_to_grid, classical_invariants, determinant, grid_to_braid
 from gridknot.equiv import (
     NO,
     UNKNOWN,
@@ -13,7 +15,18 @@ from gridknot.equiv import (
 )
 from gridknot.errors import UnsupportedClass
 from gridknot.grid import census, validate
-from gridknot.moves import Stabilize, Translate, apply, serialize_script
+from gridknot.moves import (
+    PAIRED_X_CORNER,
+    CommuteCols,
+    CommuteRows,
+    Destabilize,
+    Stabilize,
+    Translate,
+    apply,
+    legal_moves,
+    serialize_script,
+)
+from gridknot.suites import random_grid
 
 
 class TestTcOrbitEqual:
@@ -132,19 +145,35 @@ class TestEquivalent:
         assert res.verdict in (UNKNOWN, YES)
 
     def test_no_cites_recomputable_values(self, u2, make_grid, rnd):
-        for _ in range(10):
-            g2 = make_grid(rnd.randint(2, 4))
-            res = equivalent(u2, g2, "L", SearchBudget(max_states=3000, max_seconds=5))
-            if res.verdict == NO:
-                name, _, rest = res.reason.partition(":")
-                left, _, right = rest.partition(" vs ")
-                maps = {
-                    "components": lambda g: census(g).components,
-                    "tb": lambda g: classical_invariants(g).tb,
-                    "r": lambda g: classical_invariants(g).r,
-                }
-                assert maps[name](u2) == int(left)
-                assert maps[name](g2) == int(right)
+        maps = {
+            "components": lambda g: census(g).components,
+            "tb": lambda g: classical_invariants(g).tb,
+            "r": lambda g: classical_invariants(g).r,
+            "determinant": determinant,
+        }
+        others = [make_grid(rnd.randint(2, 4)) for _ in range(10)]
+        # knots whose determinants differ from the unknot's
+        others += [braid_to_grid(word(w)) for w in ((1, 1, 1), (-1, -1, -1), (1, -2, 1, -2), (1, 1, 1, 1, 1))]
+        for cls in ("K", "L"):
+            for g2 in others:
+                res = equivalent(u2, g2, cls, SearchBudget(max_states=3000, max_seconds=5))
+                if res.verdict == NO:
+                    name, _, rest = res.reason.partition(":")
+                    left, _, right = rest.partition(" vs ")
+                    assert maps[name](u2) == int(left)
+                    assert maps[name](g2) == int(right)
+
+    def test_determinant_separates_knots(self):
+        unknot, trefoil = braid_to_grid(word([1])), braid_to_grid(word([1, 1, 1]))
+        res = equivalent(unknot, trefoil, "K")
+        assert (res.verdict, res.reason) == (NO, "determinant: 1 vs 3")
+
+    def test_determinant_after_conjugacy_invariants(self):
+        # unknot and figure-eight: 3 strands, exponent sum 0, a 3-cycle each
+        unknot, figure8 = braid_to_grid(word([1, -2])), braid_to_grid(word([1, -2, 1, -2]))
+        assert conjugacy_no_reason(grid_to_braid(unknot), grid_to_braid(figure8)) is None
+        res = equivalent(unknot, figure8, "B")
+        assert (res.verdict, res.reason) == (NO, "determinant: 1 vs 5")
 
     def test_scripts_replay_exactly(self, u2, rnd):
         from gridknot.moves import MoveScript, legal_moves
@@ -179,6 +208,55 @@ class TestEquivalent:
         w1, w2 = grid_to_braid(u2), grid_to_braid(g2)
         assert w1.strands == w2.strands
         assert conjugacy_oracle(w1, w2, max_depth=4).verdict == YES
+
+
+def _class_moves_of(g, cls):
+    """Every legal move of g in class ``cls``, with the O (de)stabilizations of the paired X types."""
+    corners = {"L": ("NE", "SW"), "T": ("NE", "SW", "SE"), "B": ("NE", "SE")}[cls]
+    return [
+        m
+        for m in legal_moves(g)
+        if isinstance(m, (Translate, CommuteRows, CommuteCols))
+        or (m.corner if m.kind == "X" else PAIRED_X_CORNER[m.corner]) in corners
+    ]
+
+
+class TestNoReasonsAreClassInvariants:
+    """Every invariant ``_no_reason`` may cite is constant under every move of its class."""
+
+    GRIDS = [random_grid(n, random.Random(n * 1000 + i)) for n in range(2, 9) for i in range(6)]
+
+    def test_components_and_determinant_under_every_move(self):
+        for g in self.GRIDS:
+            before = census(g).components, determinant(g)
+            for m in legal_moves(g):
+                h = apply(g, m)
+                assert (census(h).components, determinant(h)) == before, (g, m)
+
+    def test_tb_and_r_under_class_l_moves(self):
+        for g in self.GRIDS:
+            ci = classical_invariants(g)
+            for m in _class_moves_of(g, "L"):
+                h = classical_invariants(apply(g, m))
+                assert (h.tb, h.r) == (ci.tb, ci.r), (g, m)
+
+    def test_sl_under_class_t_moves(self):
+        for g in self.GRIDS:
+            sl = classical_invariants(g).sl
+            for m in _class_moves_of(g, "T"):
+                assert classical_invariants(apply(g, m)).sl == sl, (g, m)
+
+    def test_braid_invariants_under_class_b_moves(self):
+        for g in self.GRIDS:
+            w = grid_to_braid(g)
+            for m in _class_moves_of(g, "B"):
+                v = grid_to_braid(apply(g, m))
+                assert v.strands == w.strands, (g, m)
+                assert conjugacy_no_reason(w, v) is None, (g, m)
+
+    def test_every_stabilization_type_is_exercised(self):
+        seen = {(m.kind, m.corner) for g in self.GRIDS for m in legal_moves(g) if type(m) is Destabilize}
+        assert len(seen) == 8
 
 
 # (class, g1, g2, the YES script equivalent finds): g2 is a seeded walk of

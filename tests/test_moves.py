@@ -119,6 +119,13 @@ class TestStabilization:
             with pytest.raises(GridKnotError):
                 apply(bad, m)
 
+    @pytest.mark.parametrize("move", ["SX NE 0", ("X", "NE", 0), None])
+    def test_unknown_move_raises(self, u2, move):
+        with pytest.raises(GridKnotError) as exc:
+            apply(u2, move)
+        assert type(exc.value) is GridKnotError
+        assert str(exc.value) == f"unknown move {move!r}"
+
     def test_components_preserved(self, make_grid, rnd):
         for _ in range(60):
             g = make_grid(rnd.randint(2, 6))

@@ -1,8 +1,9 @@
 """Independent cross-checks of the two decision kernels.
 
 The word-problem solver is compared against exact symbolic matrices of
-the reduced Burau representation, which is faithful on three strands;
-the orbit machinery is compared against a brute-force closure that
+the reduced Burau representation, which is faithful on three strands,
+and the grid determinant against det(I - Burau) at t = -1; the orbit
+machinery is compared against a brute-force closure that
 enumerates raw grids with the public move API and never touches the
 canonical-key kernels.
 """
@@ -13,6 +14,7 @@ from collections import deque
 import sympy
 
 from gridknot.braid import BraidWord, words_equal
+from gridknot.convert import braid_to_grid, determinant
 from gridknot.equiv import orbit_size, tc_orbit_equal
 from gridknot.moves import CommuteCols, CommuteRows, Translate, apply, legal_moves
 from gridknot.suites import random_braid_word, random_grid
@@ -44,6 +46,24 @@ def test_words_equal_matches_burau_on_three_strands():
             assert words_equal(w1, words[j]) == same_matrix
             checked_equal += same_matrix
     assert checked_equal >= len(words)  # at least the diagonal
+
+
+# the same matrices at t = -1, with Python integer entries
+_BURAU_AT_MINUS_1 = {k: [[int(v) for v in row] for row in m.subs(t, -1).tolist()] for k, m in _BURAU.items()}
+
+
+def test_determinant_matches_burau_on_three_strands():
+    # det(I - Burau(t)) = (1 + t + t^2) Delta(t) up to a unit on three
+    # strands, and 1 + t + t^2 is 1 at t = -1
+    rnd = random.Random(37)
+    for _ in range(200):
+        w = random_braid_word(3, rnd.randint(0, 9), rnd)
+        m = [[1, 0], [0, 1]]
+        for k in w.letters:
+            s = _BURAU_AT_MINUS_1[k]
+            m = [[sum(m[i][l] * s[l][j] for l in range(2)) for j in range(2)] for i in range(2)]
+        burau_det = abs((1 - m[0][0]) * (1 - m[1][1]) - m[0][1] * m[1][0])
+        assert determinant(braid_to_grid(w)) == burau_det, w
 
 
 def brute_tc_orbit(g):
